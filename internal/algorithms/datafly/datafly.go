@@ -123,7 +123,9 @@ func AnonymizeContext(ctx context.Context, t *dataset.Table, cfg Config) (*Resul
 	}
 
 	node := make(lattice.Node, len(qi))
-	current := t.Clone()
+	// The first round groups the input itself; every later round reads a
+	// fresh recoding, so t is never modified.
+	current := t
 	iterations := 0
 	for {
 		if err := ctx.Err(); err != nil {

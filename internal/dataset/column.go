@@ -1,26 +1,43 @@
 package dataset
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sort"
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 )
 
-// This file implements the lazily-built columnar view of a Table. Tables stay
-// row-oriented strings at the storage layer (so generalized values like
-// "[20-30)" remain first-class), but hot paths — equivalence-class grouping,
-// Mondrian partitioning, query evaluation, information-loss metrics — operate
-// on cached typed columns:
+// This file implements the columnar views of a Table. Cells are strings (so
+// generalized values like "[20-30)" remain first-class), held in one of two
+// storage forms:
+//
+//   - Row-backed tables (FromRows, ReadCSV, every mutated table) keep string
+//     rows as the source of truth and build typed columns lazily.
+//   - Column-backed tables (FromCodedColumns: snapshots, full-domain and
+//     per-group recodings, Concat, and selections and projections of
+//     column-backed tables) hold one CodedColumn per attribute and build
+//     string rows only if a caller asks for rows (Row, Rows, Clone, a
+//     mutation and so on; see rowSource). Grouping, fingerprints, domains,
+//     frequencies, sensitive distributions, Select, Project and Concat read
+//     the codes directly.
+//
+// Hot paths — equivalence-class grouping, Mondrian partitioning, query
+// evaluation, information-loss metrics — operate on cached typed columns:
 //
 //   - FloatColumn parses every cell of a column exactly once and records which
 //     cells are numeric, so algorithms never re-run strconv.ParseFloat on the
 //     same cell at every recursion level.
 //   - CodedColumn interns every distinct value of a column as a dense uint32
-//     code, so grouping and equality predicates compare integers instead of
-//     building per-row strings.
+//     code in first-appearance row order, so grouping and equality
+//     predicates compare integers instead of building per-row strings. The
+//     first-appearance rule makes the dictionary a function of the cell
+//     sequence alone: a column-backed table and the row-backed table with
+//     the same rows hold identical dictionaries, fingerprints and snapshot
+//     bytes.
 //
 // Caches are invalidated on mutation (SetValue invalidates only the touched
 // column; Append and AppendTable invalidate everything) and rebuilt on the
@@ -70,6 +87,12 @@ type CodedColumn struct {
 	// Only then is per-value rank order guaranteed to match the byte order
 	// of joined signatures (the separator is 0x1f).
 	clean bool
+	// checked records that the codes are known to be a first-appearance
+	// encoding of Dict: set by Table.CodedColumn and CSV ingest, which
+	// intern in that order, by the column-backed producers in this package,
+	// and by FromCodedColumns after a successful check, so a column shared
+	// by many column-backed tables is checked once.
+	checked atomic.Bool
 }
 
 // Len returns the number of rows in the column.
@@ -99,6 +122,187 @@ func (c *CodedColumn) ensureIndex() {
 		idx[v] = uint32(code)
 	}
 	c.index = idx
+}
+
+// ErrCodedColumn is returned by FromCodedColumns when a column's codes do not
+// form a valid first-appearance encoding of its dictionary.
+var ErrCodedColumn = errors.New("dataset: invalid coded column")
+
+// NewCodedColumn wraps ready codes and their dictionary as a CodedColumn,
+// computing the lexicographic ranks grouping uses. dict must hold distinct
+// values, numbered in first-appearance order over codes (code 0 is the value
+// of row 0, the next unseen code is the next new value, and so on): that is
+// the encoding Table.CodedColumn builds, and FromCodedColumns refuses any
+// other. The column takes ownership of both slices.
+func NewCodedColumn(codes []uint32, dict []string) *CodedColumn {
+	cc := &CodedColumn{Codes: codes, Dict: dict}
+	cc.buildRanks()
+	return cc
+}
+
+// checkFirstAppearance verifies that every code indexes the dictionary and
+// that codes first appear in order 0, 1, 2, ..., covering the whole
+// dictionary — the invariant that makes a column's dictionary a function of
+// its cell sequence.
+func (c *CodedColumn) checkFirstAppearance() error {
+	next := uint32(0)
+	for i, code := range c.Codes {
+		if int(code) >= len(c.Dict) {
+			return fmt.Errorf("%w: row %d: code %d exceeds dictionary size %d", ErrCodedColumn, i, code, len(c.Dict))
+		}
+		if code >= next {
+			if code != next {
+				return fmt.Errorf("%w: row %d: code %d appears before code %d", ErrCodedColumn, i, code, next)
+			}
+			next++
+		}
+	}
+	if int(next) != len(c.Dict) {
+		return fmt.Errorf("%w: %d of %d dictionary values unused", ErrCodedColumn, len(c.Dict)-int(next), len(c.Dict))
+	}
+	return nil
+}
+
+// FromCodedColumns builds a column-backed table from one coded column per
+// schema attribute. The columns are shared, not copied, so they must not be
+// modified afterwards; column-backed tables never write to them (a mutation
+// first materializes private string rows, see Table.promote). Arity, equal
+// row counts and each column's first-appearance encoding are validated.
+// String rows are built only if a caller asks for rows; grouping,
+// fingerprints and the other column readers work on the codes.
+func FromCodedColumns(schema *Schema, cols []*CodedColumn) (*Table, error) {
+	if len(cols) != schema.Len() {
+		return nil, fmt.Errorf("%w: got %d columns, want %d", ErrRowArity, len(cols), schema.Len())
+	}
+	n := 0
+	if len(cols) > 0 && cols[0] != nil {
+		n = cols[0].Len()
+	}
+	for j, cc := range cols {
+		if cc == nil {
+			return nil, fmt.Errorf("%w: column %d is nil", ErrCodedColumn, j)
+		}
+		if cc.Len() != n {
+			return nil, fmt.Errorf("%w: column %d has %d rows, column 0 has %d", ErrCodedColumn, j, cc.Len(), n)
+		}
+		if !cc.checked.Load() {
+			if err := cc.checkFirstAppearance(); err != nil {
+				return nil, fmt.Errorf("column %d: %w", j, err)
+			}
+			cc.checked.Store(true)
+		}
+	}
+	t := NewTable(schema)
+	t.cache.codes = make(map[int]*CodedColumn, len(cols))
+	for j, cc := range cols {
+		t.cache.codes[j] = cc
+	}
+	t.src = &rowSource{n: n, cols: cols}
+	return t, nil
+}
+
+// selectRows returns the column of the given rows, in the given order, with
+// codes renumbered in first-appearance order over the selection.
+func (c *CodedColumn) selectRows(indices []int) *CodedColumn {
+	const unset = ^uint32(0)
+	memo := make([]uint32, len(c.Dict))
+	for i := range memo {
+		memo[i] = unset
+	}
+	out := &CodedColumn{Codes: make([]uint32, len(indices))}
+	for i, r := range indices {
+		old := c.Codes[r]
+		code := memo[old]
+		if code == unset {
+			code = uint32(len(out.Dict))
+			out.Dict = append(out.Dict, c.Dict[old])
+			memo[old] = code
+		}
+		out.Codes[i] = code
+	}
+	out.buildRanks()
+	out.checked.Store(true)
+	return out
+}
+
+// concat returns the column of c's rows followed by b's. c's dictionary is
+// kept as a prefix and b's values that c lacks follow in b's code order, so a
+// first-appearance encoding stays one. b's values are found by binary search
+// over c's rank order, and the ranks of the result are merged from c's, so
+// the cost is linear in c's dictionary plus b's size, with no map over c.
+func (c *CodedColumn) concat(b *CodedColumn) *CodedColumn {
+	d := len(c.Dict)
+	// sorted[r] is the code of rank r.
+	sorted := make([]uint32, d)
+	for code, r := range c.ranks {
+		sorted[r] = uint32(code)
+	}
+	out := &CodedColumn{
+		Codes: make([]uint32, len(c.Codes)+len(b.Codes)),
+		Dict:  append(make([]string, 0, d+len(b.Dict)), c.Dict...),
+		clean: c.clean,
+	}
+	copy(out.Codes, c.Codes)
+	remap := make([]uint32, len(b.Dict))
+	var added []uint32 // new codes, in b's code order
+	for bc, v := range b.Dict {
+		r := sort.Search(d, func(i int) bool { return c.Dict[sorted[i]] >= v })
+		if r < d && c.Dict[sorted[r]] == v {
+			remap[bc] = sorted[r]
+			continue
+		}
+		remap[bc] = uint32(len(out.Dict))
+		added = append(added, remap[bc])
+		out.Dict = append(out.Dict, v)
+	}
+	for i, bc := range b.Codes {
+		out.Codes[len(c.Codes)+i] = remap[bc]
+	}
+	// Ranks: merge c's sorted codes with the sorted new codes.
+	sort.Slice(added, func(i, j int) bool { return out.Dict[added[i]] < out.Dict[added[j]] })
+	out.ranks = make([]uint32, len(out.Dict))
+	i, k := 0, 0
+	for r := range out.ranks {
+		if k == len(added) || (i < d && c.Dict[sorted[i]] < out.Dict[added[k]]) {
+			out.ranks[sorted[i]] = uint32(r)
+			i++
+		} else {
+			out.ranks[added[k]] = uint32(r)
+			k++
+		}
+	}
+	for _, code := range added {
+		if hasControlByte(out.Dict[code]) {
+			out.clean = false
+		}
+	}
+	out.checked.Store(true)
+	return out
+}
+
+// rowSource materializes row storage on demand for column-backed tables:
+// cells are reconstructed as dictionary strings (for snapshots, aliasing the
+// mapped blob), packed into one arena of row blocks, so materialization
+// allocates string headers but never copies cell bytes.
+type rowSource struct {
+	n    int
+	cols []*CodedColumn
+}
+
+func (s *rowSource) materialize() []Row {
+	k := len(s.cols)
+	rows := make([]Row, s.n)
+	arena := make([]string, s.n*k)
+	for j, cc := range s.cols {
+		dict, codes := cc.Dict, cc.Codes
+		for i, code := range codes {
+			arena[i*k+j] = dict[code]
+		}
+	}
+	for i := range rows {
+		rows[i] = arena[i*k : (i+1)*k : (i+1)*k]
+	}
+	return rows
 }
 
 // colCache holds the per-table columnar caches. It is shared between tables
@@ -242,6 +446,7 @@ func (t *Table) CodedColumn(col int) (*CodedColumn, error) {
 		cc.Codes[i] = code
 	}
 	cc.buildRanks()
+	cc.checked.Store(true)
 	if c.codes == nil {
 		c.codes = make(map[int]*CodedColumn)
 	}
@@ -263,13 +468,21 @@ func (c *CodedColumn) buildRanks() {
 	}
 	c.clean = true
 	for _, v := range c.Dict {
-		for i := 0; i < len(v); i++ {
-			if v[i] < 0x20 {
-				c.clean = false
-				return
-			}
+		if hasControlByte(v) {
+			c.clean = false
+			return
 		}
 	}
+}
+
+// hasControlByte reports whether v contains a byte below 0x20.
+func hasControlByte(v string) bool {
+	for i := 0; i < len(v); i++ {
+		if v[i] < 0x20 {
+			return true
+		}
+	}
+	return false
 }
 
 // floatColumnFromCodes builds the parse-once numeric view of a column from

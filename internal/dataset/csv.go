@@ -346,6 +346,7 @@ func readRows(sc *recordScanner, schema *Schema, size int64) (*Table, error) {
 			continue
 		}
 		cc.buildRanks()
+		cc.checked.Store(true)
 		c.codes[i] = cc
 	}
 	c.fp = hasher.sum()

@@ -1,5 +1,5 @@
 // Package dataset provides the in-memory tabular data model used throughout
-// the PPDP library: schemas, typed attributes, row-oriented tables,
+// the PPDP library: schemas, typed attributes, tables,
 // equivalence-class partitioning, projections, sampling and CSV interchange.
 //
 // # Model
@@ -15,14 +15,18 @@
 //
 // # Columnar views
 //
-// Row storage is the source of truth, but hot paths never re-parse or
-// re-join row strings: Table.FloatColumn returns a parse-once numeric view
-// (values, validity, extrema) and Table.CodedColumn a dictionary-encoded
-// view (dense uint32 codes in first-appearance order, with lexicographic
-// ranks). Table.GroupBy builds equivalence classes from mixed-radix coded
-// keys — one uint64 per row — and falls back to the historical string path
-// only when a dictionary contains control bytes or the key space overflows;
-// both paths produce byte-identical output.
+// A table is row-backed (string rows are the source of truth: FromRows, CSV
+// ingest, mutated tables) or column-backed (one immutable CodedColumn per
+// attribute is the source of truth: FromCodedColumns, snapshots, recodings),
+// and a column-backed table builds rows only when a caller asks for them.
+// Either way, hot paths never re-parse or re-join row strings:
+// Table.FloatColumn returns a parse-once numeric view (values, validity,
+// extrema) and Table.CodedColumn a dictionary-encoded view (dense uint32
+// codes in first-appearance order, with lexicographic ranks).
+// Table.GroupBy builds equivalence classes from mixed-radix coded keys — one
+// uint64 per row — and falls back to the historical string path only when a
+// dictionary contains control bytes or the key space overflows; both paths
+// produce byte-identical output.
 //
 // # Mutation and concurrency
 //

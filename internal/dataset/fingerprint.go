@@ -191,9 +191,12 @@ func (t *Table) Fingerprint() string {
 	c := t.colcache()
 	c.mu.Lock()
 	if c.fp == "" {
-		rows := t.data()
-		if w := t.scanParallelism(); w > 1 && len(rows) >= 2*fpHashMinRows {
-			c.fp = rowsFingerprintParallel(rows, w)
+		if src := t.src; src != nil {
+			// Column-backed: hash each dictionary value once and fold from
+			// the codes instead of materializing rows.
+			c.fp = codedRowsFingerprint(src.n, src.cols)
+		} else if rows := t.data(); t.scanParallelism() > 1 && len(rows) >= 2*fpHashMinRows {
+			c.fp = rowsFingerprintParallel(rows, t.scanParallelism())
 		} else {
 			c.fp = rowsFingerprint(rows)
 		}

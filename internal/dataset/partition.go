@@ -1,6 +1,7 @@
 package dataset
 
 import (
+	"fmt"
 	"math"
 	"slices"
 	"sort"
@@ -322,18 +323,20 @@ func AverageClassSize(classes []EquivalenceClass) float64 {
 // SensitiveDistribution returns, for one equivalence class, the absolute
 // frequency of each value of the named sensitive column among the class
 // members.
+//
+// It counts the sensitive column's codes, so privacy checks on column-backed
+// tables (full-domain candidates) never materialize rows.
 func (t *Table) SensitiveDistribution(class EquivalenceClass, sensitive string) (map[string]int, error) {
-	col, err := t.schema.Index(sensitive)
+	cc, err := t.CodedColumnByName(sensitive)
 	if err != nil {
 		return nil, err
 	}
 	out := make(map[string]int)
 	for _, r := range class.Rows {
-		row, err := t.Row(r)
-		if err != nil {
-			return nil, err
+		if r < 0 || r >= cc.Len() {
+			return nil, fmt.Errorf("%w: %d (table has %d rows)", ErrRowIndex, r, cc.Len())
 		}
-		out[row[col]]++
+		out[cc.Dict[cc.Codes[r]]]++
 	}
 	return out, nil
 }

@@ -463,10 +463,9 @@ func snapshotFromMapping(path string, data []byte, workers int) (*MappedTable, e
 		}
 	}
 
-	t := &Table{schema: schema, cache: newColCache()}
-	t.cache.codes = make(map[int]*CodedColumn, len(cols))
-	for i, cc := range cols {
-		t.cache.codes[i] = cc
+	t, err := FromCodedColumns(schema, cols)
+	if err != nil {
+		return nil, corrupt("%s: %v", path, err)
 	}
 	if len(floats) > 0 {
 		t.cache.floats = make(map[int]*FloatColumn, len(floats))
@@ -475,7 +474,6 @@ func snapshotFromMapping(path string, data []byte, workers int) (*MappedTable, e
 		}
 	}
 	t.cache.fp = h.RowsFP
-	t.src = &rowSource{n: h.Rows, cols: cols}
 	// Cheap cross-check of the header's two fingerprints (the cached rows
 	// hash makes Fingerprint a schema-hash fold, not a row scan). The full
 	// cell-by-cell recompute is VerifyContent's job.
@@ -539,11 +537,12 @@ func decodeSegment(path string, data []byte, dataStart int64, rows int, col *sna
 		// index stays nil: Code() builds it lazily on first use, so opening a
 		// snapshot never pays O(dict) map construction per column.
 	}
-	for _, code := range cc.Codes {
-		if int(code) >= col.DictLen {
-			return nil, nil, corrupt("%s: code %d exceeds dictionary size %d", path, code, col.DictLen)
-		}
+	// The encoding check FromCodedColumns requires runs here, one column
+	// per worker, and marks the column so the constructor skips it.
+	if err := cc.checkFirstAppearance(); err != nil {
+		return nil, nil, corrupt("%s: column segment at %d: %v", path, segStart, err)
 	}
+	cc.checked.Store(true)
 	var fc *FloatColumn
 	if col.Float != nil {
 		valB, err := slice(path, seg, col.Float.Off, int64(rows)*8, "float values")
@@ -589,29 +588,4 @@ func codedRowsFingerprint(rows int, cols []*CodedColumn) string {
 		ch.endRow()
 	}
 	return ch.sum()
-}
-
-// rowSource materializes row storage on demand for snapshot-backed tables:
-// cells are reconstructed as dictionary strings (aliasing the mapped blob),
-// packed into one arena of row blocks, so materialization allocates string
-// headers but never copies cell bytes.
-type rowSource struct {
-	n    int
-	cols []*CodedColumn
-}
-
-func (s *rowSource) materialize() []Row {
-	k := len(s.cols)
-	rows := make([]Row, s.n)
-	arena := make([]string, s.n*k)
-	for j, cc := range s.cols {
-		dict, codes := cc.Dict, cc.Codes
-		for i, code := range codes {
-			arena[i*k+j] = dict[code]
-		}
-	}
-	for i := range rows {
-		rows[i] = arena[i*k : (i+1)*k : (i+1)*k]
-	}
-	return rows
 }

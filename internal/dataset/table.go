@@ -47,9 +47,9 @@ func (r Row) Clone() Row {
 type Table struct {
 	schema *Schema
 	rows   []Row
-	// src, when non-nil, defers row materialization for snapshot-backed
-	// tables (see snapshot.go): the typed column views are served straight
-	// from the mapping, and string row storage is only built if a caller
+	// src, when non-nil, defers row materialization for column-backed
+	// tables (FromCodedColumns; see column.go): the coded column views are
+	// the source of truth, and string row storage is only built if a caller
 	// actually asks for rows. rowsOnce guards the one-time materialization.
 	src      *rowSource
 	rowsOnce sync.Once
@@ -105,7 +105,7 @@ func (t *Table) inheritScanWorkers(src *Table) *Table {
 }
 
 // data returns the table's row storage, materializing it on first access for
-// snapshot-backed tables. Every reader of t.rows outside this method must go
+// column-backed tables. Every reader of t.rows outside this method must go
 // through it.
 func (t *Table) data() []Row {
 	if t.src != nil {
@@ -114,10 +114,11 @@ func (t *Table) data() []Row {
 	return t.rows
 }
 
-// promote detaches a snapshot-backed table from its column source before a
+// promote detaches a column-backed table from its column source before a
 // mutation: rows are materialized (copy-on-write — written cells become heap
-// strings, untouched cells keep aliasing the mapped dictionary) and the
-// source is dropped so the mutated rows are the single source of truth.
+// strings, untouched cells keep aliasing the dictionary, which for snapshots
+// is the mapping) and the source is dropped so the mutated rows are the
+// single source of truth.
 func (t *Table) promote() {
 	if t.src == nil {
 		return
@@ -153,7 +154,7 @@ func FromRows(schema *Schema, rows []Row) (*Table, error) {
 // Schema returns the table schema.
 func (t *Table) Schema() *Schema { return t.schema }
 
-// Len returns the number of rows. Snapshot-backed tables answer from the
+// Len returns the number of rows. Column-backed tables answer from the
 // column source without materializing row storage.
 func (t *Table) Len() int {
 	if s := t.src; s != nil {
@@ -254,33 +255,35 @@ func (t *Table) Column(name string) ([]string, error) {
 	return out, nil
 }
 
-// Domain returns the distinct values of the named column in sorted order.
+// Domain returns the distinct values of the named column in sorted order. It
+// reads the coded view: the dictionary is the distinct value set, and its
+// ranks are the sorted order.
 func (t *Table) Domain(name string) ([]string, error) {
-	vals, err := t.Column(name)
+	cc, err := t.CodedColumnByName(name)
 	if err != nil {
 		return nil, err
 	}
-	set := make(map[string]struct{}, len(vals))
-	for _, v := range vals {
-		set[v] = struct{}{}
+	out := make([]string, len(cc.Dict))
+	for code, v := range cc.Dict {
+		out[cc.ranks[code]] = v
 	}
-	out := make([]string, 0, len(set))
-	for v := range set {
-		out = append(out, v)
-	}
-	sort.Strings(out)
 	return out, nil
 }
 
-// Frequencies returns the absolute value counts of the named column.
+// Frequencies returns the absolute value counts of the named column, counted
+// over the coded view.
 func (t *Table) Frequencies(name string) (map[string]int, error) {
-	vals, err := t.Column(name)
+	cc, err := t.CodedColumnByName(name)
 	if err != nil {
 		return nil, err
 	}
-	out := make(map[string]int)
-	for _, v := range vals {
-		out[v]++
+	counts := make([]int, len(cc.Dict))
+	for _, code := range cc.Codes {
+		counts[code]++
+	}
+	out := make(map[string]int, len(cc.Dict))
+	for code, v := range cc.Dict {
+		out[v] = counts[code]
 	}
 	return out, nil
 }
@@ -301,6 +304,8 @@ func (t *Table) NumericRange(name string) (min, max float64, err error) {
 }
 
 // Project returns a new table containing only the named columns, in order.
+// A column-backed table's projection is column-backed and shares its
+// columns.
 func (t *Table) Project(names ...string) (*Table, error) {
 	schema, err := t.schema.Project(names...)
 	if err != nil {
@@ -309,6 +314,18 @@ func (t *Table) Project(names ...string) (*Table, error) {
 	idx := make([]int, len(names))
 	for i, n := range names {
 		idx[i] = t.schema.MustIndex(n)
+	}
+	if src := t.src; src != nil {
+		// Column-backed: the projection shares the selected columns.
+		cols := make([]*CodedColumn, len(idx))
+		for j, c := range idx {
+			cols[j] = src.cols[c]
+		}
+		out, err := FromCodedColumns(schema, cols)
+		if err != nil {
+			return nil, err
+		}
+		return out.inheritScanWorkers(t), nil
 	}
 	rows := t.data()
 	out := NewTable(schema)
@@ -339,8 +356,26 @@ func (t *Table) DropIdentifiers() (*Table, error) {
 }
 
 // Select returns a new table containing the rows at the given indices (in the
-// given order). Indices may repeat.
+// given order). Indices may repeat. A column-backed table yields a
+// column-backed selection: each column's codes are gathered and renumbered
+// in first-appearance order, without building rows.
 func (t *Table) Select(indices []int) (*Table, error) {
+	if src := t.src; src != nil {
+		for _, i := range indices {
+			if i < 0 || i >= src.n {
+				return nil, fmt.Errorf("%w: %d (table has %d rows)", ErrRowIndex, i, src.n)
+			}
+		}
+		cols := make([]*CodedColumn, len(src.cols))
+		for j, cc := range src.cols {
+			cols[j] = cc.selectRows(indices)
+		}
+		out, err := FromCodedColumns(t.schema, cols)
+		if err != nil {
+			return nil, err
+		}
+		return out.inheritScanWorkers(t), nil
+	}
 	out := NewTable(t.schema)
 	out.rows = make([]Row, 0, len(indices))
 	for _, i := range indices {
@@ -402,7 +437,7 @@ func (t *Table) WithSchema(s *Schema) (*Table, error) {
 		return nil, fmt.Errorf("dataset: schema arity %d does not match table arity %d", s.Len(), t.schema.Len())
 	}
 	// The view shares row storage, so it also shares the columnar cache:
-	// a mutation through either table invalidates both. Snapshot-backed
+	// a mutation through either table invalidates both. Column-backed
 	// tables materialize first so both views mutate the same rows.
 	out := &Table{schema: s, rows: t.data(), cache: t.colcache()}
 	return out.inheritScanWorkers(t), nil
@@ -424,6 +459,37 @@ func (t *Table) AppendTable(other *Table) error {
 	}
 	t.cache.invalidateAll()
 	return nil
+}
+
+// Concat returns a new table holding t's rows followed by other's; neither
+// input changes. The schemas must be fully equal, as for AppendTable. The
+// result is column-backed: each column keeps t's codes and dictionary and
+// appends the values of other that t lacks, in their first-appearance order,
+// which is the dictionary the concatenated rows would build. So a table
+// grown by repeated Concat never builds rows, and its coded columns — which
+// the fingerprint and snapshot read — are extended rather than rebuilt.
+func (t *Table) Concat(other *Table) (*Table, error) {
+	if !t.schema.Equal(other.schema) {
+		return nil, fmt.Errorf("%w: cannot append table with schema %v to table with schema %v",
+			ErrSchemaMismatch, other.schema.Names(), t.schema.Names())
+	}
+	cols := make([]*CodedColumn, t.schema.Len())
+	for j := range cols {
+		a, err := t.CodedColumn(j)
+		if err != nil {
+			return nil, err
+		}
+		b, err := other.CodedColumn(j)
+		if err != nil {
+			return nil, err
+		}
+		cols[j] = a.concat(b)
+	}
+	out, err := FromCodedColumns(t.schema, cols)
+	if err != nil {
+		return nil, err
+	}
+	return out.inheritScanWorkers(t), nil
 }
 
 // Rows returns a copy of all rows. It is intended for tests and small tables;

@@ -24,11 +24,21 @@ var ErrNodeArity = errors.New("generalize: node arity does not match attribute c
 // quasi-identifier attribute in attrs is generalized to level node[i] using
 // its hierarchy. All other columns are left untouched. The input table is not
 // modified.
+//
+// The result is a column-backed table (dataset.FromCodedColumns): every
+// distinct value of a recoded column is generalized once, the codes are
+// remapped into a first-appearance dictionary — the one Table.CodedColumn
+// would build from the recoded rows — and untouched columns share the
+// input's coded columns. String rows are built only if a caller asks for
+// them.
 func FullDomain(t *dataset.Table, attrs []string, hs *hierarchy.Set, node lattice.Node) (*dataset.Table, error) {
 	if len(attrs) != len(node) {
 		return nil, fmt.Errorf("%w: %d attributes, %d levels", ErrNodeArity, len(attrs), len(node))
 	}
-	out := t.Clone()
+	cols, err := codedColumns(t)
+	if err != nil {
+		return nil, err
+	}
 	for i, attr := range attrs {
 		level := node[i]
 		if level == 0 {
@@ -42,27 +52,100 @@ func FullDomain(t *dataset.Table, attrs []string, hs *hierarchy.Set, node lattic
 		if err != nil {
 			return nil, err
 		}
-		// Cache per distinct value: generalization is value-deterministic.
-		cache := make(map[string]string)
-		for r := 0; r < out.Len(); r++ {
-			v, err := out.Value(r, col)
+		src := cols[col]
+		gen := make([]string, src.Cardinality())
+		var fails []error
+		for code, v := range src.Dict {
+			g, err := h.Generalize(v, level)
 			if err != nil {
-				return nil, err
-			}
-			g, ok := cache[v]
-			if !ok {
-				g, err = h.Generalize(v, level)
-				if err != nil {
-					return nil, fmt.Errorf("generalize: row %d attribute %q: %w", r, attr, err)
+				if fails == nil {
+					fails = make([]error, len(gen))
 				}
-				cache[v] = g
+				fails[code] = err
+				continue
 			}
-			if err := out.SetValue(r, col, g); err != nil {
-				return nil, err
+			gen[code] = g
+		}
+		if fails != nil {
+			// Report the first row holding an ungeneralizable value, as a
+			// row-order scan would.
+			for r, code := range src.Codes {
+				if fails[code] != nil {
+					return nil, fmt.Errorf("generalize: row %d attribute %q: %w", r, attr, fails[code])
+				}
 			}
 		}
+		memo := unsetCodes(len(gen))
+		var in interner
+		codes := make([]uint32, len(src.Codes))
+		for r, old := range src.Codes {
+			code := memo[old]
+			if code == unset {
+				code = in.intern(gen[old])
+				memo[old] = code
+			}
+			codes[r] = code
+		}
+		cols[col] = dataset.NewCodedColumn(codes, in.dict)
 	}
+	return columnTable(t, cols)
+}
+
+// codedColumns returns the coded view of every column of t.
+func codedColumns(t *dataset.Table) ([]*dataset.CodedColumn, error) {
+	cols := make([]*dataset.CodedColumn, t.Schema().Len())
+	for j := range cols {
+		cc, err := t.CodedColumn(j)
+		if err != nil {
+			return nil, err
+		}
+		cols[j] = cc
+	}
+	return cols, nil
+}
+
+// columnTable builds the column-backed result of a recoding of t.
+func columnTable(t *dataset.Table, cols []*dataset.CodedColumn) (*dataset.Table, error) {
+	out, err := dataset.FromCodedColumns(t.Schema(), cols)
+	if err != nil {
+		return nil, err
+	}
+	out.SetScanWorkers(t.ScanWorkers())
 	return out, nil
+}
+
+// unset marks a memo slot whose new code is not known yet.
+const unset = ^uint32(0)
+
+// unsetCodes returns n memo slots, all unset.
+func unsetCodes(n int) []uint32 {
+	memo := make([]uint32, n)
+	for i := range memo {
+		memo[i] = unset
+	}
+	return memo
+}
+
+// interner numbers values in the order they are first interned. Recoders
+// intern each row's value in row order (through a memo, so each distinct
+// source value is looked up once), which yields the first-appearance
+// dictionary Table.CodedColumn would build from the recoded rows.
+type interner struct {
+	index map[string]uint32
+	dict  []string
+}
+
+func (in *interner) intern(v string) uint32 {
+	if code, ok := in.index[v]; ok {
+		return code
+	}
+	if in.index == nil {
+		in.index = make(map[string]uint32)
+	}
+	code := uint32(len(in.dict))
+	in.dict = append(in.dict, v)
+	in.index[v] = code
+	return code
 }
 
 // SuppressRows returns a copy of the table with the given row indices
@@ -138,25 +221,31 @@ func RecodeGroups(t *dataset.Table, attrs []string, hs *hierarchy.Set, groups []
 		numeric[i] = attr.Type == dataset.Numeric
 	}
 
-	out := t.Clone()
+	src, err := codedColumns(t)
+	if err != nil {
+		return nil, nil, err
+	}
+	n := t.Len()
+	// rowGroup[r] is the index of the group covering row r, or -1.
+	rowGroup := make([]int32, n)
+	for r := range rowGroup {
+		rowGroup[r] = -1
+	}
 	summaries := make([]GroupSummary, 0, len(groups))
-	seen := make([]bool, t.Len())
 	for gi, g := range groups {
 		if len(g) == 0 {
 			return nil, nil, fmt.Errorf("generalize: group %d is empty", gi)
 		}
 		values := make([]string, len(attrs))
+		vals := make([]string, 0, len(g))
 		for ai := range attrs {
-			vals := make([]string, 0, len(g))
+			cc := src[cols[ai]]
+			vals = vals[:0]
 			for _, r := range g {
-				if r < 0 || r >= t.Len() {
+				if r < 0 || r >= n {
 					return nil, nil, fmt.Errorf("generalize: group %d references row %d out of range", gi, r)
 				}
-				v, err := t.Value(r, cols[ai])
-				if err != nil {
-					return nil, nil, err
-				}
-				vals = append(vals, v)
+				vals = append(vals, cc.Dict[cc.Codes[r]])
 			}
 			summary, err := summarize(attrs[ai], vals, numeric[ai], hs)
 			if err != nil {
@@ -165,19 +254,45 @@ func RecodeGroups(t *dataset.Table, attrs []string, hs *hierarchy.Set, groups []
 			values[ai] = summary
 		}
 		for _, r := range g {
-			if seen[r] {
+			if r < 0 || r >= n {
+				return nil, nil, fmt.Errorf("generalize: group %d references row %d out of range", gi, r)
+			}
+			if rowGroup[r] >= 0 {
 				return nil, nil, fmt.Errorf("generalize: row %d appears in more than one group", r)
 			}
-			seen[r] = true
-			for ai := range attrs {
-				if err := out.SetValue(r, cols[ai], values[ai]); err != nil {
-					return nil, nil, err
-				}
-			}
+			rowGroup[r] = int32(gi)
 		}
 		summaries = append(summaries, GroupSummary{Rows: append([]int(nil), g...), Values: values})
 	}
-	return out, summaries, nil
+
+	// Each recoded column holds one value per group; rows outside every
+	// group keep their original value.
+	out := append([]*dataset.CodedColumn(nil), src...)
+	for ai, c := range cols {
+		orig := src[c]
+		groupMemo, origMemo := unsetCodes(len(groups)), unsetCodes(orig.Cardinality())
+		var in interner
+		codes := make([]uint32, n)
+		for r, old := range orig.Codes {
+			var code uint32
+			if g := rowGroup[r]; g >= 0 {
+				if code = groupMemo[g]; code == unset {
+					code = in.intern(summaries[g].Values[ai])
+					groupMemo[g] = code
+				}
+			} else if code = origMemo[old]; code == unset {
+				code = in.intern(orig.Dict[old])
+				origMemo[old] = code
+			}
+			codes[r] = code
+		}
+		out[c] = dataset.NewCodedColumn(codes, in.dict)
+	}
+	released, err := columnTable(t, out)
+	if err != nil {
+		return nil, nil, err
+	}
+	return released, summaries, nil
 }
 
 // summarize recodes one attribute's group values into a single released value.

@@ -159,7 +159,10 @@ func (s *Server) handleUploadDataset(w http.ResponseWriter, r *http.Request) {
 	}
 	tbl.SetScanWorkers(s.scanWorkers())
 	ds := &storedDataset{name: name, family: f.Name, tenant: tenantOf(r), table: tbl, hier: f.Hierarchies(), created: time.Now()}
-	if err := s.reg.putDataset(ds, true, s.cfg.TenantMaxDatasets); err != nil {
+	unlock := s.reg.writes.lock(name)
+	err = s.reg.putDataset(ds, true, s.cfg.TenantMaxDatasets)
+	unlock()
+	if err != nil {
 		writeRegistryError(w, err)
 		return
 	}
@@ -175,7 +178,9 @@ func (s *Server) handleUploadDataset(w http.ResponseWriter, r *http.Request) {
 // "schema_mismatch" code. The append is copy-on-write: releases pin the
 // previous snapshot, so the grown table replaces the name as a new generation
 // (same path as a PUT replace, including tenant quota accounting) and the
-// reconciler is notified.
+// reconciler is notified. The read of the current table, the append and the
+// put run under the name's write lock, so concurrent appends each land
+// exactly once, one generation apiece.
 func (s *Server) handleAppendRows(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	cur, err := s.reg.getDataset(name)
@@ -199,26 +204,47 @@ func (s *Server) handleAppendRows(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad_csv", "%v", err)
 		return
 	}
-	// Clone-then-append: the stored table is immutable (released snapshots and
-	// concurrent readers share it), so the rows land on a deep copy that then
-	// replaces the name as the next generation.
-	merged := cur.table.Clone()
-	if err := merged.AppendTable(rows); err != nil {
-		if errors.Is(err, dataset.ErrSchemaMismatch) {
-			writeError(w, http.StatusBadRequest, "schema_mismatch", "%v", err)
-			return
-		}
-		writeError(w, http.StatusBadRequest, "bad_request", "%v", err)
+	ds, err := s.appendDataset(name, rows, tenantOf(r))
+	switch {
+	case errors.Is(err, errDatasetMissing):
+		writeError(w, http.StatusNotFound, "not_found", "%v", err)
 		return
-	}
-	merged.SetScanWorkers(s.scanWorkers())
-	ds := &storedDataset{name: name, family: cur.family, tenant: tenantOf(r), table: merged, hier: cur.hier, created: time.Now()}
-	if err := s.reg.putDataset(ds, true, s.cfg.TenantMaxDatasets); err != nil {
+	case errors.Is(err, dataset.ErrSchemaMismatch):
+		writeError(w, http.StatusBadRequest, "schema_mismatch", "%v", err)
+		return
+	case err != nil:
 		writeRegistryError(w, err)
 		return
 	}
 	s.notifyDatasetChanged(ds)
 	writeJSON(w, http.StatusOK, datasetJSON(ds))
+}
+
+// appendDataset stores name's current table extended by rows as its next
+// generation. The body was parsed outside the name's write lock; the table it
+// extends is re-read under it, so a replace in between that changed the
+// schema surfaces as ErrSchemaMismatch.
+func (s *Server) appendDataset(name string, rows *dataset.Table, tenant string) (*storedDataset, error) {
+	unlock := s.reg.writes.lock(name)
+	defer unlock()
+	cur, err := s.reg.getDataset(name)
+	if err != nil {
+		return nil, err
+	}
+	// The stored table is immutable (released snapshots and concurrent
+	// readers share it), so the grown table is a new one that then replaces
+	// the name as the next generation. Concat extends the coded columns
+	// instead of copying rows.
+	merged, err := cur.table.Concat(rows)
+	if err != nil {
+		return nil, err
+	}
+	merged.SetScanWorkers(s.scanWorkers())
+	ds := &storedDataset{name: name, family: cur.family, tenant: tenant, table: merged, hier: cur.hier, created: time.Now()}
+	if err := s.reg.putDataset(ds, true, s.cfg.TenantMaxDatasets); err != nil {
+		return nil, err
+	}
+	return ds, nil
 }
 
 func (s *Server) handleListDatasets(w http.ResponseWriter, r *http.Request) {
@@ -357,7 +383,10 @@ func (s *Server) handleGetDataset(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleDeleteDataset(w http.ResponseWriter, r *http.Request) {
-	err := s.reg.deleteDataset(r.PathValue("name"))
+	name := r.PathValue("name")
+	unlock := s.reg.writes.lock(name)
+	err := s.reg.deleteDataset(name)
+	unlock()
 	switch {
 	case errors.Is(err, errDatasetMissing):
 		writeError(w, http.StatusNotFound, "not_found", "%v", err)

@@ -190,8 +190,9 @@ type releaseTableFPs struct {
 // persistReleaseTables writes the release's published tables as durable
 // content-addressed snapshots. Called outside the registry lock — snapshot
 // encoding is the expensive part, and PutTable is idempotent, so a put that
-// later loses the id race leaves at worst an unreferenced file for the next
-// checkpoint's GC.
+// later loses the id race leaves at worst an unreferenced file for a later
+// checkpoint's GC. On success the snapshots stay pinned against GC until the
+// caller unpins them after journaling the release; on failure none are.
 func (r *registry) persistReleaseTables(rel *storedRelease) (originFP string, fps releaseTableFPs, err error) {
 	put := func(t *dataset.Table) (string, error) {
 		if t == nil {
@@ -199,17 +200,23 @@ func (r *registry) persistReleaseTables(rel *storedRelease) (originFP string, fp
 		}
 		return r.st.PutTable(t)
 	}
+	defer func() {
+		if err != nil {
+			r.st.Unpin(originFP, fps.table, fps.qit, fps.st)
+			originFP, fps = "", releaseTableFPs{}
+		}
+	}()
 	if originFP, err = put(rel.origin.table); err != nil {
 		return "", fps, fmt.Errorf("%w: %v", errPersist, err)
 	}
 	if fps.table, err = put(rel.release.Table); err != nil {
-		return "", fps, fmt.Errorf("%w: %v", errPersist, err)
+		return originFP, fps, fmt.Errorf("%w: %v", errPersist, err)
 	}
 	if fps.qit, err = put(rel.release.QIT); err != nil {
-		return "", fps, fmt.Errorf("%w: %v", errPersist, err)
+		return originFP, fps, fmt.Errorf("%w: %v", errPersist, err)
 	}
 	if fps.st, err = put(rel.release.ST); err != nil {
-		return "", fps, fmt.Errorf("%w: %v", errPersist, err)
+		return originFP, fps, fmt.Errorf("%w: %v", errPersist, err)
 	}
 	return originFP, fps, nil
 }

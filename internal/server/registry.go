@@ -130,6 +130,48 @@ type registry struct {
 	// replay order matches apply order. Table snapshots are persisted before
 	// the journaling, outside the lock (see persist.go).
 	st *store.Store
+
+	// writes serializes writers of one dataset name whose new table depends
+	// on the current one (append) against the other writers of that name
+	// (replace, delete), so a read-modify-put never drops a concurrent
+	// change. Held by handlers around the whole sequence.
+	writes nameLocks
+}
+
+// nameLocks is a set of per-name mutexes; entries live only while a name is
+// locked or waited on. The zero value is ready to use.
+type nameLocks struct {
+	mu sync.Mutex
+	m  map[string]*nameLock
+}
+
+type nameLock struct {
+	mu      sync.Mutex
+	holders int // goroutines holding or waiting for mu
+}
+
+// lock acquires name's mutex and returns its release.
+func (l *nameLocks) lock(name string) (unlock func()) {
+	l.mu.Lock()
+	if l.m == nil {
+		l.m = make(map[string]*nameLock)
+	}
+	e := l.m[name]
+	if e == nil {
+		e = &nameLock{}
+		l.m[name] = e
+	}
+	e.holders++
+	l.mu.Unlock()
+	e.mu.Lock()
+	return func() {
+		e.mu.Unlock()
+		l.mu.Lock()
+		if e.holders--; e.holders == 0 {
+			delete(l.m, name)
+		}
+		l.mu.Unlock()
+	}
 }
 
 func newRegistry(maxDatasets, maxReleases, maxPolicies int) *registry {
@@ -234,14 +276,16 @@ func (r *registry) putDataset(ds *storedDataset, replace bool, maxPerTenant int)
 	// Persist the table snapshot before taking the lock: encoding is the
 	// expensive part and PutTable is content-addressed and idempotent, so a
 	// put whose op is then rejected below leaves at worst an unreferenced
-	// snapshot for the next checkpoint's GC. The snapshot address doubles as
-	// the content fingerprint; without a store it is computed directly (and
-	// cached on the table).
+	// snapshot for a later checkpoint's GC. The pin keeps a checkpoint from
+	// collecting it before the op is journaled. The snapshot address doubles
+	// as the content fingerprint; without a store it is computed directly
+	// (and cached on the table).
 	if r.st != nil {
 		fp, err := r.st.PutTable(ds.table)
 		if err != nil {
 			return fmt.Errorf("%w: %v", errPersist, err)
 		}
+		defer r.st.Unpin(fp)
 		ds.fp = fp
 	} else if ds.table != nil { // registry unit tests store table-less stubs
 		ds.fp = ds.table.Fingerprint()
@@ -383,6 +427,7 @@ func (r *registry) putRelease(rel *storedRelease) (string, error) {
 		if originFP, fps, err = r.persistReleaseTables(rel); err != nil {
 			return "", err
 		}
+		defer r.st.Unpin(originFP, fps.table, fps.qit, fps.st)
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()

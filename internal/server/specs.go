@@ -202,6 +202,7 @@ func (r *registry) swapSpecRelease(name string, rel *storedRelease, hist *republ
 		if originFP, fps, err = r.persistReleaseTables(rel); err != nil {
 			return "", err
 		}
+		defer r.st.Unpin(originFP, fps.table, fps.qit, fps.st)
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -334,17 +335,19 @@ func (r *registry) persistSpec(sp *storedSpec) error {
 		CreatedUnix:     sp.created.UnixNano(),
 	}
 	var tables []string
+	defer func() { r.st.Unpin(tables...) }()
 	for _, rel := range sp.history {
 		qitFP, err := r.st.PutTable(rel.QIT)
 		if err != nil {
 			return fmt.Errorf("%w: %v", errPersist, err)
 		}
+		tables = append(tables, qitFP)
 		stFP, err := r.st.PutTable(rel.ST)
 		if err != nil {
 			return fmt.Errorf("%w: %v", errPersist, err)
 		}
 		m.History = append(m.History, specHistoryMeta{Version: rel.Version, QITFP: qitFP, STFP: stFP})
-		tables = append(tables, qitFP, stFP)
+		tables = append(tables, stFP)
 	}
 	meta, err := json.Marshal(m)
 	if err != nil {

@@ -7,8 +7,10 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/ppdp/ppdp/internal/dataset"
@@ -125,6 +127,13 @@ type Store struct {
 	checkpointErrs int64
 
 	tables map[string]int64 // fingerprint → snapshot file size
+	// tmpSeq numbers table-snapshot temp files, so concurrent PutTable
+	// calls for one fingerprint never share (and rename away) a temp file.
+	tmpSeq atomic.Uint64
+	// pins counts, per fingerprint, the PutTable calls whose caller has not
+	// yet called Unpin; checkpoint GC keeps pinned snapshots even while no
+	// record references them yet.
+	pins   map[string]int
 	mapped map[string]*dataset.MappedTable
 	cached map[string]*dataset.Table
 
@@ -164,6 +173,7 @@ func Open(dir string, opts Options) (*Store, error) {
 		tables:  map[string]int64{},
 		mapped:  map[string]*dataset.MappedTable{},
 		cached:  map[string]*dataset.Table{},
+		pins:    map[string]int{},
 	}
 
 	man, err := s.loadManifest()
@@ -408,6 +418,14 @@ func (s *Store) Records(kind string) []Record {
 // origins pinned to them share bytes). The file is fully durable — written
 // to a temp name, fsynced, renamed, directory fsynced — before PutTable
 // returns, so a subsequent Apply referencing it survives any crash.
+// Concurrent calls for the same content each write their own temp file; the
+// renames replace one identical snapshot with another, and all succeed.
+//
+// A successful PutTable pins the snapshot: checkpoint GC keeps it, referenced
+// or not, until the caller calls Unpin(fp) — after the Apply that references
+// it, or on giving up. Without the pin a checkpoint between the put and that
+// Apply would collect the not-yet-referenced file, and the Apply would fail
+// with ErrUnknownTable.
 func (s *Store) PutTable(t *dataset.Table) (string, error) {
 	fp := t.Fingerprint()
 	s.mu.Lock()
@@ -416,6 +434,7 @@ func (s *Store) PutTable(t *dataset.Table) (string, error) {
 		return "", ErrClosed
 	}
 	if _, ok := s.tables[fp]; ok {
+		s.pins[fp]++
 		s.mu.Unlock()
 		return fp, nil
 	}
@@ -423,7 +442,7 @@ func (s *Store) PutTable(t *dataset.Table) (string, error) {
 
 	// Encode outside the lock; snapshot writes can be large.
 	final := s.tablePath(fp)
-	tmp := final + tmpSuffix
+	tmp := final + "." + strconv.FormatUint(s.tmpSeq.Add(1), 10) + tmpSuffix
 	f, err := s.fs.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
 	if err != nil {
 		return "", err
@@ -452,9 +471,26 @@ func (s *Store) PutTable(t *dataset.Table) (string, error) {
 	s.mu.Lock()
 	if !s.closed {
 		s.tables[fp] = size
+		s.pins[fp]++
 	}
 	s.mu.Unlock()
 	return fp, nil
+}
+
+// Unpin releases one PutTable pin on each given fingerprint (empty strings
+// are skipped), making the snapshot collectable again once no record
+// references it.
+func (s *Store) Unpin(fps ...string) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, fp := range fps {
+		if fp == "" || s.pins[fp] == 0 {
+			continue
+		}
+		if s.pins[fp]--; s.pins[fp] == 0 {
+			delete(s.pins, fp)
+		}
+	}
 }
 
 // Table opens (or returns the already-mapped) table snapshot fp. The table
@@ -597,7 +633,7 @@ func (s *Store) checkpointLocked() error {
 		}
 	}
 	for fp := range s.tables {
-		if referenced[fp] {
+		if referenced[fp] || s.pins[fp] > 0 {
 			continue
 		}
 		if mt, ok := s.mapped[fp]; ok {

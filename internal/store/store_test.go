@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -129,6 +130,61 @@ func TestStorePutTableDedupes(t *testing.T) {
 	}
 }
 
+// TestStorePutTableConcurrentSameContent puts one table's content from N
+// goroutines released together: every write is in flight before any has
+// registered the fingerprint, so they race on the snapshot file. All must
+// succeed and leave exactly one snapshot and no temp files.
+func TestStorePutTableConcurrentSameContent(t *testing.T) {
+	dir := t.TempDir()
+	st, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	const n = 8
+	tables := make([]*dataset.Table, n)
+	for i := range tables {
+		tables[i] = testTable(t, 11)
+		tables[i].Fingerprint() // hash before the gate opens
+	}
+	start := make(chan struct{})
+	fps := make([]string, n)
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			<-start
+			fps[i], errs[i] = st.PutTable(tables[i])
+		}(i)
+	}
+	close(start)
+	wg.Wait()
+	for i := 0; i < n; i++ {
+		if errs[i] != nil {
+			t.Fatalf("PutTable %d: %v", i, errs[i])
+		}
+		if fps[i] != fps[0] {
+			t.Fatalf("PutTable %d fp = %s, want %s", i, fps[i], fps[0])
+		}
+	}
+	entries, err := os.ReadDir(filepath.Join(dir, tablesDir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range entries {
+		names = append(names, e.Name())
+	}
+	if len(names) != 1 || names[0] != fps[0]+".tbl" {
+		t.Fatalf("tables dir = %v, want only %s.tbl", names, fps[0])
+	}
+	if _, err := st.Table(fps[0]); err != nil {
+		t.Fatalf("stored snapshot does not load: %v", err)
+	}
+}
+
 func TestStoreCheckpointAndGC(t *testing.T) {
 	dir := t.TempDir()
 	st, err := Open(dir, Options{})
@@ -142,6 +198,7 @@ func TestStoreCheckpointAndGC(t *testing.T) {
 	if err := st.Apply(Op{Op: OpPut, Kind: KindDataset, Key: "d", Tables: []string{fp1}}); err != nil {
 		t.Fatal(err)
 	}
+	st.Unpin(fp1)
 	if err := st.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
@@ -152,6 +209,7 @@ func TestStoreCheckpointAndGC(t *testing.T) {
 	if err := st.Apply(Op{Op: OpPut, Kind: KindDataset, Key: "d", Tables: []string{fp2}}); err != nil {
 		t.Fatal(err)
 	}
+	st.Unpin(fp2)
 	if err := st.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
@@ -176,6 +234,48 @@ func TestStoreCheckpointAndGC(t *testing.T) {
 	ds := st2.Records(KindDataset)
 	if len(ds) != 1 || len(ds[0].Tables) != 1 || ds[0].Tables[0] != fp2 {
 		t.Fatalf("recovered datasets = %+v", ds)
+	}
+}
+
+// TestStorePinnedTableSurvivesCheckpoint: a checkpoint between PutTable and
+// the Apply that references the snapshot must not collect it; once unpinned
+// and unreferenced, the next checkpoint does.
+func TestStorePinnedTableSurvivesCheckpoint(t *testing.T) {
+	st, err := Open(t.TempDir(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	fp, err := st.PutTable(testTable(t, 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A second put of the same content takes its own pin.
+	if _, err := st.PutTable(testTable(t, 4)); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Apply(Op{Op: OpPut, Kind: KindDataset, Key: "d", Tables: []string{fp}}); err != nil {
+		t.Fatalf("apply after checkpoint: %v", err)
+	}
+	if err := st.Apply(Op{Op: OpDelete, Kind: KindDataset, Key: "d"}); err != nil {
+		t.Fatal(err)
+	}
+	st.Unpin(fp)
+	if err := st.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(st.tablePath(fp)); err != nil {
+		t.Fatalf("table collected while still pinned once: %v", err)
+	}
+	st.Unpin(fp)
+	if err := st.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(st.tablePath(fp)); !os.IsNotExist(err) {
+		t.Fatalf("unpinned, unreferenced table not collected (err=%v)", err)
 	}
 }
 
