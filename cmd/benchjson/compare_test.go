@@ -92,6 +92,32 @@ func TestCompareFlagsRegressionBeyondThreshold(t *testing.T) {
 	}
 }
 
+// TestCompareJoinsAcrossMaxProcs: a baseline recorded at GOMAXPROCS=1 (no
+// name suffix) pairs with a run at GOMAXPROCS=2 ("-2"), and the output says
+// the two sides ran at different parallelism.
+func TestCompareJoinsAcrossMaxProcs(t *testing.T) {
+	dir := t.TempDir()
+	oldPath := writeReport(t, dir, "old.json", &Report{MaxProcs: 1, Benchmarks: []Benchmark{
+		bench("BenchmarkHot", 1000, 100),
+	}})
+	newPath := writeReport(t, dir, "new.json", &Report{MaxProcs: 2, Benchmarks: []Benchmark{
+		bench("BenchmarkHot-2", 500, 100),
+	}})
+	var out strings.Builder
+	if _, err := runCompare([]string{oldPath, newPath}, &out); err != nil {
+		t.Fatal(err)
+	}
+	text := out.String()
+	for _, want := range []string{"maxprocs=1, new run at maxprocs=2", "BenchmarkHot-2", "-50.0%"} {
+		if !strings.Contains(text, want) {
+			t.Errorf("compare output missing %q:\n%s", want, text)
+		}
+	}
+	if strings.Contains(text, "no baseline") || strings.Contains(text, "removed") {
+		t.Errorf("suffixed and unsuffixed names did not pair:\n%s", text)
+	}
+}
+
 func TestCompareArgumentErrors(t *testing.T) {
 	var out strings.Builder
 	if _, err := runCompare([]string{"only-one.json"}, &out); err == nil {

@@ -54,6 +54,9 @@ type Report struct {
 	// MaxProcs is runtime.GOMAXPROCS at conversion time — benchmarks ran in
 	// the same environment, so it records the parallelism available.
 	MaxProcs int `json:"maxprocs"`
+	// NProc is runtime.NumCPU, the host's logical cores: a record made at
+	// maxprocs below nproc did not use the whole host.
+	NProc int `json:"nproc"`
 	// Benchmarks lists every parsed result in input order.
 	Benchmarks []Benchmark `json:"benchmarks"`
 }
@@ -86,7 +89,7 @@ func main() {
 
 // parse reads `go test -bench` output and extracts the benchmark lines.
 func parse(r io.Reader) (*Report, error) {
-	rep := &Report{Go: runtime.Version(), MaxProcs: runtime.GOMAXPROCS(0), Benchmarks: []Benchmark{}}
+	rep := &Report{Go: runtime.Version(), MaxProcs: runtime.GOMAXPROCS(0), NProc: runtime.NumCPU(), Benchmarks: []Benchmark{}}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
 	for sc.Scan() {

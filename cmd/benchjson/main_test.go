@@ -32,7 +32,7 @@ ok  	github.com/ppdp/ppdp	3.210s
 	if rep.Benchmarks[1].Metrics["result-rows"] != 21 {
 		t.Errorf("custom metric lost: %v", rep.Benchmarks[1].Metrics)
 	}
-	if rep.Go == "" || rep.MaxProcs < 1 {
+	if rep.Go == "" || rep.MaxProcs < 1 || rep.NProc < 1 {
 		t.Errorf("environment fields missing: %+v", rep)
 	}
 }

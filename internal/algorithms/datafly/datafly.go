@@ -2,24 +2,26 @@
 // full-domain generalization heuristic that repeatedly generalizes the
 // quasi-identifier attribute with the most distinct values until the table is
 // k-anonymous up to a bounded amount of record suppression.
-// Each round's generalization candidates — the distinct-value counts of the
-// quasi-identifier attributes — are independent of each other, so they are
-// scored by a bounded worker pool (Config.Workers); the picked attribute is
-// identical for every worker count because the tie-breaking fold happens
-// sequentially, in attribute order, after the pool joins.
+//
+// Rounds are scored by counting, not by recoding: the run builds one
+// generalize.Levels for its input, which maps every attribute's dictionary
+// codes to generalized ids per hierarchy level. A round asks it how many rows
+// fall in classes smaller than k at the current node
+// (generalize.Levels.RowsBelow), and the attribute with the most distinct
+// values is read off its per-level cardinalities. Only the final node is
+// recoded with generalize.FullDomain, grouped and suppressed to build the
+// release.
 package datafly
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 
 	"github.com/ppdp/ppdp/internal/dataset"
 	"github.com/ppdp/ppdp/internal/generalize"
 	"github.com/ppdp/ppdp/internal/hierarchy"
 	"github.com/ppdp/ppdp/internal/lattice"
-	"github.com/ppdp/ppdp/internal/parallel"
 )
 
 // Common errors.
@@ -45,10 +47,6 @@ type Config struct {
 	// allows suppressing up to k records; expressing the budget as a
 	// fraction matches how the experiments sweep it.
 	MaxSuppression float64
-	// Workers bounds the pool that scores one round's generalization
-	// candidates concurrently. Zero uses runtime.GOMAXPROCS(0); 1 forces a
-	// sequential run. The released table is identical for every count.
-	Workers int
 	// Progress, when non-nil, receives (done, total) after every
 	// generalization round — the same unit of work the context is polled at.
 	// Total is the worst-case round count (one per hierarchy level across the
@@ -92,13 +90,6 @@ func AnonymizeContext(ctx context.Context, t *dataset.Table, cfg Config) (*Resul
 	if cfg.MaxSuppression < 0 || cfg.MaxSuppression > 1 {
 		return nil, fmt.Errorf("%w: max suppression %v", ErrConfig, cfg.MaxSuppression)
 	}
-	if cfg.Workers < 0 {
-		return nil, fmt.Errorf("%w: workers = %d", ErrConfig, cfg.Workers)
-	}
-	workers := cfg.Workers
-	if workers == 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	qi := cfg.QuasiIdentifiers
 	if len(qi) == 0 {
 		qi = t.Schema().QuasiIdentifierNames()
@@ -122,23 +113,36 @@ func AnonymizeContext(ctx context.Context, t *dataset.Table, cfg Config) (*Resul
 		totalRounds += m
 	}
 
+	levels, err := generalize.NewLevels(t, qi, cfg.Hierarchies)
+	if err != nil {
+		return nil, err
+	}
 	node := make(lattice.Node, len(qi))
-	// The first round groups the input itself; every later round reads a
-	// fresh recoding, so t is never modified.
-	current := t
+	// The first round counts the input itself; every later round counts the
+	// node the previous round stepped to.
+	violating, err := levels.RowsBelow(node, cfg.K)
+	if err != nil {
+		return nil, err
+	}
 	iterations := 0
 	for {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("datafly: %w", err)
 		}
 		report(iterations, totalRounds)
-		classes, err := current.GroupBy(qi...)
-		if err != nil {
-			return nil, err
-		}
-		violating := violatingRows(classes, cfg.K)
-		if len(violating) <= budget {
-			released, err := generalize.SuppressRows(current, violating)
+		if violating <= budget {
+			// Recode from the original table, so hierarchy levels stay
+			// aligned with original values.
+			recoded, err := generalize.FullDomain(t, qi, cfg.Hierarchies, node)
+			if err != nil {
+				return nil, err
+			}
+			classes, err := recoded.GroupBy(qi...)
+			if err != nil {
+				return nil, err
+			}
+			drop := violatingRows(classes, cfg.K)
+			released, err := generalize.SuppressRows(recoded, drop)
 			if err != nil {
 				return nil, err
 			}
@@ -147,49 +151,31 @@ func AnonymizeContext(ctx context.Context, t *dataset.Table, cfg Config) (*Resul
 				Table:            released,
 				Node:             node,
 				QuasiIdentifiers: append([]string(nil), qi...),
-				SuppressedRows:   len(violating),
+				SuppressedRows:   len(drop),
 				Iterations:       iterations,
 			}, nil
 		}
 		// Generalize the attribute with the most distinct values, among
-		// attributes that still have headroom. Candidates are scored by the
-		// worker pool (each candidate's count is independent of the others);
-		// the tie-breaking fold runs sequentially in attribute order, so the
-		// pick is identical for every worker count.
-		counts, err := parallel.Map(len(qi), workers, func(i int) (int, error) {
-			if node[i] >= maxLevels[i] {
-				return -1, nil
-			}
-			dom, err := current.Domain(qi[i])
-			if err != nil {
-				return 0, err
-			}
-			return len(dom), nil
-		})
-		if err != nil {
-			return nil, err
-		}
+		// attributes that still have headroom; ties go to the earliest
+		// attribute.
 		pick := -1
 		maxDistinct := -1
-		for i, n := range counts {
-			if n < 0 {
+		for i := range qi {
+			if node[i] >= maxLevels[i] {
 				continue
 			}
-			if n > maxDistinct {
+			if n := levels.Cardinality(i, node[i]); n > maxDistinct {
 				maxDistinct = n
 				pick = i
 			}
 		}
 		if pick == -1 {
 			return nil, fmt.Errorf("%w: %d records still violate %d-anonymity at full generalization (budget %d)",
-				ErrUnsatisfiable, len(violating), cfg.K, budget)
+				ErrUnsatisfiable, violating, cfg.K, budget)
 		}
 		node[pick]++
 		iterations++
-		// Re-apply the full-domain recoding from the original table so that
-		// hierarchy levels stay aligned with original values.
-		current, err = generalize.FullDomain(t, qi, cfg.Hierarchies, node)
-		if err != nil {
+		if violating, err = levels.RowsBelow(node, cfg.K); err != nil {
 			return nil, err
 		}
 	}

@@ -161,3 +161,18 @@ func TestAnonymizeContextCancellation(t *testing.T) {
 		t.Fatalf("live context: %v", err)
 	}
 }
+
+// BenchmarkDatafly measures a full Datafly run on the 2k-row census fixture
+// over five quasi-identifiers.
+func BenchmarkDatafly(b *testing.B) {
+	tbl := synth.Census(2000, 1)
+	hs := synth.CensusHierarchies()
+	qi := []string{"age", "sex", "education", "marital-status", "race"}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Anonymize(tbl, Config{K: 10, QuasiIdentifiers: qi, Hierarchies: hs}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

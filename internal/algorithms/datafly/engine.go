@@ -24,14 +24,12 @@ func (adapter) Describe() engine.Info {
 		Kind:                engine.Microdata,
 		FullDomain:          true,
 		RequiresHierarchies: true,
-		Parallel:            true,
 		CostExponent:        1,
 		Criteria:            []string{policy.KAnonymity},
 		Parameters: []engine.Param{
 			{Name: "k", Type: "int", Required: true, Default: 10, Description: "minimum equivalence-class size"},
 			{Name: "quasi_identifiers", Type: "[]string", Description: "attributes to generalize (schema QI columns when empty)"},
 			{Name: "max_suppression", Type: "float", Default: 0.02, Description: "maximum fraction of suppressed records"},
-			{Name: "workers", Type: "int", Description: "candidate-scoring worker pool bound (0 = GOMAXPROCS)"},
 		},
 	}
 }
@@ -55,7 +53,6 @@ func (adapter) Run(ctx context.Context, t *dataset.Table, spec engine.Spec) (*en
 		QuasiIdentifiers: spec.QuasiIdentifiers,
 		Hierarchies:      spec.Hierarchies,
 		MaxSuppression:   spec.MaxSuppression,
-		Workers:          spec.Workers,
 		Progress:         engine.Monotone(spec.Progress),
 	})
 	if err != nil {

@@ -3,6 +3,14 @@
 // height at which some node achieves k-anonymity with at most MaxSuppression
 // records suppressed. Among the satisfying nodes of that height, the node
 // suppressing the fewest records is released.
+//
+// A node is scored by counting, not by recoding: the search builds one
+// generalize.Levels for its input, which maps every attribute's dictionary
+// codes to generalized ids per hierarchy level, and asks it how many rows
+// fall in classes smaller than k (generalize.Levels.RowsBelow). Only the
+// chosen node is recoded with generalize.FullDomain, grouped and suppressed
+// to build the release.
+//
 // The nodes of one height level are independent of each other, so each
 // level is evaluated by a bounded worker pool (Config.Workers); the released
 // node is identical for every worker count because the fewest-suppressions
@@ -84,7 +92,7 @@ func Anonymize(t *dataset.Table, cfg Config) (*Result, error) {
 // AnonymizeContext runs Samarati's binary lattice search over t. The context
 // is polled once per evaluated lattice node — the search's natural unit of
 // work — so a canceled or timed-out run returns ctx.Err() after at most one
-// node's recoding instead of a release.
+// node's evaluation instead of a release.
 func AnonymizeContext(ctx context.Context, t *dataset.Table, cfg Config) (*Result, error) {
 	if cfg.K < 1 {
 		return nil, fmt.Errorf("%w: k = %d", ErrConfig, cfg.K)
@@ -117,6 +125,10 @@ func AnonymizeContext(ctx context.Context, t *dataset.Table, cfg Config) (*Resul
 	if err != nil {
 		return nil, err
 	}
+	levels, err := generalize.NewLevels(t, qi, cfg.Hierarchies)
+	if err != nil {
+		return nil, err
+	}
 	budget := int(cfg.MaxSuppression * float64(t.Len()))
 	report := cfg.Progress
 	if report == nil {
@@ -126,9 +138,9 @@ func AnonymizeContext(ctx context.Context, t *dataset.Table, cfg Config) (*Resul
 
 	var evaluated atomic.Int64
 	// bestAtHeight returns the best satisfying node at height h, or nil. The
-	// level's nodes are independent, so they are recoded and checked by the
-	// worker pool; the fewest-suppressions fold runs sequentially afterwards,
-	// in level order, so the choice is identical for every worker count.
+	// level's nodes are independent, so they are counted by the worker pool;
+	// the fewest-suppressions fold runs sequentially afterwards, in level
+	// order, so the choice is identical for every worker count.
 	bestAtHeight := func(h int) (lattice.Node, int, error) {
 		level := lat.NodesAtHeight(h)
 		costs, err := parallel.Map(len(level), workers, func(i int) (int, error) {
@@ -138,7 +150,7 @@ func AnonymizeContext(ctx context.Context, t *dataset.Table, cfg Config) (*Resul
 			// The verification walk below the binary search can revisit a
 			// height, so cap the reported count at the lattice size.
 			report(min(int(evaluated.Add(1)), totalNodes), totalNodes)
-			return violations(t, qi, cfg.Hierarchies, level[i], cfg.K)
+			return levels.RowsBelow(level[i], cfg.K)
 		})
 		if err != nil {
 			return nil, 0, err
@@ -205,26 +217,6 @@ func AnonymizeContext(ctx context.Context, t *dataset.Table, cfg Config) (*Resul
 		Height:           foundHeight,
 		NodesEvaluated:   int(evaluated.Load()),
 	}, nil
-}
-
-// violations counts the records that would need suppression for node to be
-// k-anonymous.
-func violations(t *dataset.Table, qi []string, hs *hierarchy.Set, node lattice.Node, k int) (int, error) {
-	recoded, err := generalize.FullDomain(t, qi, hs, node)
-	if err != nil {
-		return 0, err
-	}
-	classes, err := recoded.GroupBy(qi...)
-	if err != nil {
-		return 0, err
-	}
-	total := 0
-	for _, c := range classes {
-		if c.Size() < k {
-			total += c.Size()
-		}
-	}
-	return total, nil
 }
 
 // apply produces the released table for node, suppressing undersized classes.

@@ -466,13 +466,7 @@ func (c *CodedColumn) buildRanks() {
 	for pos, code := range order {
 		c.ranks[code] = uint32(pos)
 	}
-	c.clean = true
-	for _, v := range c.Dict {
-		if hasControlByte(v) {
-			c.clean = false
-			return
-		}
-	}
+	c.clean = SignatureSafe(c.Dict)
 }
 
 // hasControlByte reports whether v contains a byte below 0x20.

@@ -33,19 +33,20 @@ var (
 // suppressed record is penalized by the size of the original table. Lower is
 // better; the minimum is N (every record in a singleton class) and the
 // maximum is N² (one giant class or full suppression).
+//
+// The class sizes come from the class-count kernel (Table.EachClassSize),
+// which visits classes in no fixed order; the squares are summed as integers
+// and converted once, so the result does not depend on that order.
 func Discernibility(released *dataset.Table, originalSize int) (float64, error) {
 	qi := released.Schema().QuasiIdentifierNames()
 	if len(qi) == 0 {
 		return 0, ErrNoQuasiIdentifiers
 	}
-	classes, err := released.GroupBy(qi...)
-	if err != nil {
+	var squares int64
+	if err := released.EachClassSize(func(size int) { squares += int64(size) * int64(size) }, qi...); err != nil {
 		return 0, err
 	}
-	dm := 0.0
-	for _, c := range classes {
-		dm += float64(c.Size()) * float64(c.Size())
-	}
+	dm := float64(squares)
 	suppressed := originalSize - released.Len()
 	if suppressed > 0 {
 		dm += float64(suppressed) * float64(originalSize)
@@ -65,14 +66,14 @@ func NormalizedAverageClassSize(released *dataset.Table, k int) (float64, error)
 	if len(qi) == 0 {
 		return 0, ErrNoQuasiIdentifiers
 	}
-	classes, err := released.GroupBy(qi...)
-	if err != nil {
+	classes := 0
+	if err := released.EachClassSize(func(int) { classes++ }, qi...); err != nil {
 		return 0, err
 	}
-	if len(classes) == 0 {
+	if classes == 0 {
 		return 0, nil
 	}
-	return (float64(released.Len()) / float64(len(classes))) / float64(k), nil
+	return (float64(released.Len()) / float64(classes)) / float64(k), nil
 }
 
 // GeneralizationPrecision computes Sweeney's precision metric of a

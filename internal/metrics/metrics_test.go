@@ -331,3 +331,48 @@ func TestGenerateAndEvaluateWorkload(t *testing.T) {
 		t.Error("unknown sensitive accepted")
 	}
 }
+
+// TestDiscernibilityMatchesGroupBy compares Discernibility and
+// NormalizedAverageClassSize with a reference built on GroupBy's classes,
+// summed in GroupBy's class order, over Mondrian releases of the census and
+// hospital fixtures and over the raw tables (whose class-count products take
+// the kernel's hash branch), each with and without a suppression penalty.
+func TestDiscernibilityMatchesGroupBy(t *testing.T) {
+	var tables []*dataset.Table
+	for _, tbl := range []*dataset.Table{synth.Census(1500, 2), synth.Hospital(900, 4)} {
+		res, err := mondrian.Anonymize(tbl, mondrian.Config{K: 7})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tables = append(tables, tbl, res.Table)
+	}
+	for i, tbl := range tables {
+		classes, err := tbl.GroupByQuasiIdentifier()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, originalSize := range []int{tbl.Len(), tbl.Len() + 13} {
+			want := 0.0
+			for _, c := range classes {
+				want += float64(c.Size()) * float64(c.Size())
+			}
+			if s := originalSize - tbl.Len(); s > 0 {
+				want += float64(s) * float64(originalSize)
+			}
+			got, err := Discernibility(tbl, originalSize)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != want {
+				t.Errorf("table %d, original size %d: DM %v, GroupBy reference %v", i, originalSize, got, want)
+			}
+		}
+		got, err := NormalizedAverageClassSize(tbl, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := float64(tbl.Len()) / float64(len(classes)) / 3; got != want {
+			t.Errorf("table %d: C_avg %v, GroupBy reference %v", i, got, want)
+		}
+	}
+}

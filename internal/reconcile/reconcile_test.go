@@ -255,12 +255,39 @@ func TestCloseStopsLoop(t *testing.T) {
 	}
 }
 
+// settleManager returns a test manager whose Logf hook signals every settle
+// on the returned channel: finish logs one line per outcome, noop included,
+// so a benchmark waits for the reconcile goroutine instead of spinning on
+// Status.
+func settleManager(eng Engine) (*Manager, <-chan struct{}) {
+	settled := make(chan struct{}, 1)
+	m := New(Config{
+		Engine: eng, BackoffBase: 2 * time.Millisecond, BackoffMax: 20 * time.Millisecond,
+		Logf: func(string, ...any) {
+			select {
+			case settled <- struct{}{}:
+			default:
+			}
+		},
+	})
+	return m, settled
+}
+
+// waitSettled blocks until the next settle and checks that it reconciled
+// spec "s" to gen.
+func waitSettled(b *testing.B, m *Manager, settled <-chan struct{}, gen uint64) {
+	<-settled
+	if st, _ := m.Status("s"); st.ReconciledGeneration != gen {
+		b.Fatalf("settled at generation %d, want %d", st.ReconciledGeneration, gen)
+	}
+}
+
 // BenchmarkReconcileNoop measures the fingerprint short-circuit: a
 // generation bump whose content is byte-identical settles without an
 // executor run.
 func BenchmarkReconcileNoop(b *testing.B) {
 	eng := &fakeEngine{}
-	m := newTestManager(eng)
+	m, settled := settleManager(eng)
 	defer m.Close()
 	m.Track("s", "ds", 1, "fp", 1, "fp")
 	b.ReportAllocs()
@@ -268,11 +295,7 @@ func BenchmarkReconcileNoop(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		gen := uint64(i + 2)
 		m.Notify("ds", gen, "fp")
-		for {
-			if st, _ := m.Status("s"); st.ReconciledGeneration == gen {
-				break
-			}
-		}
+		waitSettled(b, m, settled, gen)
 	}
 }
 
@@ -280,7 +303,7 @@ func BenchmarkReconcileNoop(b *testing.B) {
 // enqueue, publish, swap bookkeeping.
 func BenchmarkReconcileSwap(b *testing.B) {
 	eng := &fakeEngine{}
-	m := newTestManager(eng)
+	m, settled := settleManager(eng)
 	defer m.Close()
 	m.Track("s", "ds", 1, "fp1", 1, "fp1")
 	b.ReportAllocs()
@@ -292,10 +315,6 @@ func BenchmarkReconcileSwap(b *testing.B) {
 		eng.gen, eng.fp = gen, fp
 		eng.mu.Unlock()
 		m.Notify("ds", gen, fp)
-		for {
-			if st, _ := m.Status("s"); st.ReconciledGeneration == gen {
-				break
-			}
-		}
+		waitSettled(b, m, settled, gen)
 	}
 }
