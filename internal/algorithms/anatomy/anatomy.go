@@ -10,9 +10,10 @@
 // 1/L.
 // The bucket rounds are planned first from the sensitive-value counts alone
 // (cheap and inherently sequential); given the plan, each round's record
-// assignment and each group's QIT slice are independent, so both are filled
-// by a bounded worker pool (Config.Workers) with output identical for every
-// worker count.
+// assignment is independent, so the rounds are filled by a bounded worker
+// pool (Config.Workers) with output identical for every worker count. The
+// run reads the input's coded columns only: the QIT is gathered from them
+// and the input's string rows are never built.
 package anatomy
 
 import (
@@ -20,6 +21,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 
@@ -48,9 +50,8 @@ type Config struct {
 	// the schema's quasi-identifier columns are used.
 	QuasiIdentifiers []string
 	// Workers bounds the pool that assigns records to the planned bucket
-	// rounds and materializes the QIT. Zero uses runtime.GOMAXPROCS(0); 1
-	// forces a sequential run. The released tables are identical for every
-	// count.
+	// rounds. Zero uses runtime.GOMAXPROCS(0); 1 forces a sequential run.
+	// The released tables are identical for every count.
 	Workers int
 	// Progress, when non-nil, receives (done, total) after every bucket
 	// round of the group-creation phase — the same unit of work the context
@@ -90,12 +91,13 @@ func Anonymize(t *dataset.Table, cfg Config) (*Result, error) {
 	return AnonymizeContext(context.Background(), t, cfg)
 }
 
-// pick is one planned record draw: the pos-th element of a sensitive value's
-// row list. Rounds are planned over remaining counts only; the draw position
-// mirrors the stack behavior of taking from the end of the list.
+// pick is one planned record draw: the pos-th element of the row list of the
+// sensitive value with dictionary code code. Rounds are planned over
+// remaining counts only; the draw position mirrors the stack behavior of
+// taking from the end of the list.
 type pick struct {
-	value string
-	pos   int
+	code uint32
+	pos  int
 }
 
 // AnonymizeContext bucketizes t into l-diverse groups. The context is polled
@@ -133,26 +135,23 @@ func AnonymizeContext(ctx context.Context, t *dataset.Table, cfg Config) (*Resul
 		return nil, fmt.Errorf("%w: %v", ErrConfig, err)
 	}
 
-	// Eligibility: no sensitive value may exceed n/l of the records.
-	freq, err := t.Frequencies(sensitive)
+	// Hash records by sensitive value: rowsOf[code] lists, in table order,
+	// the rows whose sensitive cell is Dict[code].
+	sens, err := t.CodedColumn(sensCol)
 	if err != nil {
 		return nil, err
 	}
-	for v, n := range freq {
-		if float64(n) > float64(t.Len())/float64(cfg.L) {
-			return nil, fmt.Errorf("%w: value %q appears %d times in %d records (limit %d for l=%d)",
-				ErrEligibility, v, n, t.Len(), t.Len()/cfg.L, cfg.L)
-		}
+	rowsOf := make([][]int, sens.Cardinality())
+	for r, code := range sens.Codes {
+		rowsOf[code] = append(rowsOf[code], r)
 	}
 
-	// Hash records by sensitive value.
-	byValue := make(map[string][]int)
-	for r := 0; r < t.Len(); r++ {
-		row, err := t.Row(r)
-		if err != nil {
-			return nil, err
+	// Eligibility: no sensitive value may exceed n/l of the records.
+	for code, rows := range rowsOf {
+		if n := len(rows); float64(n) > float64(t.Len())/float64(cfg.L) {
+			return nil, fmt.Errorf("%w: value %q appears %d times in %d records (limit %d for l=%d)",
+				ErrEligibility, sens.Value(uint32(code)), n, t.Len(), t.Len()/cfg.L, cfg.L)
 		}
-		byValue[row[sensCol]] = append(byValue[row[sensCol]], r)
 	}
 
 	report := cfg.Progress
@@ -165,10 +164,19 @@ func AnonymizeContext(ctx context.Context, t *dataset.Table, cfg Config) (*Resul
 	// values have records remaining, one round draws a record from each of
 	// the L largest. Planning needs only the remaining counts, so it runs
 	// sequentially and cheaply; the record assignment it implies is done by
-	// the worker pool below.
-	remaining := make(map[string]int, len(byValue))
-	for v, rows := range byValue {
-		remaining[v] = len(rows)
+	// the worker pool below. order holds the codes with records remaining,
+	// by decreasing remaining count, ties in lexicographic value order.
+	remaining := make([]int, len(rowsOf))
+	order := make([]uint32, 0, len(rowsOf))
+	for code, rows := range rowsOf {
+		remaining[code] = len(rows)
+		order = append(order, uint32(code))
+	}
+	byRemaining := func(a, b uint32) int {
+		if remaining[a] != remaining[b] {
+			return remaining[b] - remaining[a]
+		}
+		return int(sens.Rank(a)) - int(sens.Rank(b))
 	}
 	var schedule [][]pick
 	for {
@@ -176,21 +184,18 @@ func AnonymizeContext(ctx context.Context, t *dataset.Table, cfg Config) (*Resul
 			return nil, fmt.Errorf("anatomy: %w", err)
 		}
 		report(bucketized, t.Len())
-		order := valuesByRemaining(remaining)
+		slices.SortFunc(order, byRemaining)
 		if len(order) < cfg.L {
 			break
 		}
 		round := make([]pick, cfg.L)
-		for i := 0; i < cfg.L; i++ {
-			v := order[i]
-			round[i] = pick{value: v, pos: remaining[v] - 1}
-			remaining[v]--
-			if remaining[v] == 0 {
-				delete(remaining, v)
-			}
+		for i, code := range order[:cfg.L] {
+			round[i] = pick{code: code, pos: remaining[code] - 1}
+			remaining[code]--
 		}
 		schedule = append(schedule, round)
 		bucketized += cfg.L
+		order = slices.DeleteFunc(order, func(code uint32) bool { return remaining[code] == 0 })
 	}
 	// Bucket-round assignment: each planned round resolves its draws against
 	// the (now read-only) hash lists independently of every other round, so
@@ -199,8 +204,8 @@ func AnonymizeContext(ctx context.Context, t *dataset.Table, cfg Config) (*Resul
 	groups, err := parallel.Map(len(schedule), workers, func(g int) (Group, error) {
 		grp := Group{ID: g, Rows: make([]int, 0, cfg.L), Counts: make(map[string]int, cfg.L)}
 		for _, p := range schedule[g] {
-			grp.Rows = append(grp.Rows, byValue[p.value][p.pos])
-			grp.Counts[p.value]++
+			grp.Rows = append(grp.Rows, rowsOf[p.code][p.pos])
+			grp.Counts[sens.Value(p.code)]++
 		}
 		return grp, nil
 	})
@@ -211,13 +216,10 @@ func AnonymizeContext(ctx context.Context, t *dataset.Table, cfg Config) (*Resul
 	// not yet contain its sensitive value. Values are visited in sorted order
 	// (and their rows in table order) so the released row order is
 	// deterministic.
-	leftover := make([]string, 0, len(remaining))
-	for v := range remaining {
-		leftover = append(leftover, v)
-	}
-	sort.Strings(leftover)
-	for _, v := range leftover {
-		for _, r := range byValue[v][:remaining[v]] {
+	slices.SortFunc(order, func(a, b uint32) int { return int(sens.Rank(a)) - int(sens.Rank(b)) })
+	for _, code := range order {
+		v := sens.Value(code)
+		for _, r := range rowsOf[code][:remaining[code]] {
 			placed := false
 			for i := range groups {
 				if groups[i].Counts[v] == 0 {
@@ -233,7 +235,7 @@ func AnonymizeContext(ctx context.Context, t *dataset.Table, cfg Config) (*Resul
 		}
 	}
 
-	qit, st, err := buildTables(t, qi, sensitive, groups, workers)
+	qit, st, err := buildTables(t, qi, sensitive, groups)
 	if err != nil {
 		return nil, err
 	}
@@ -247,27 +249,11 @@ func AnonymizeContext(ctx context.Context, t *dataset.Table, cfg Config) (*Resul
 	}, nil
 }
 
-// valuesByRemaining returns sensitive values ordered by decreasing remaining
-// count (ties broken lexicographically for determinism).
-func valuesByRemaining(remaining map[string]int) []string {
-	values := make([]string, 0, len(remaining))
-	for v := range remaining {
-		values = append(values, v)
-	}
-	sort.Slice(values, func(i, j int) bool {
-		ni, nj := remaining[values[i]], remaining[values[j]]
-		if ni != nj {
-			return ni > nj
-		}
-		return values[i] < values[j]
-	})
-	return values
-}
-
-// buildTables materializes the QIT and ST releases. QIT rows follow group
-// order with per-group offsets known up front, so each group's slice is
-// filled independently by the worker pool.
-func buildTables(t *dataset.Table, qi []string, sensitive string, groups []Group, workers int) (*dataset.Table, *dataset.Table, error) {
+// buildTables builds the QIT and ST releases. QIT rows follow group order:
+// its QI columns are t's coded columns gathered in that order, and its group
+// column codes each row with its group's index, which is the group's
+// first-appearance code, so the QIT is built without string rows.
+func buildTables(t *dataset.Table, qi []string, sensitive string, groups []Group) (*dataset.Table, *dataset.Table, error) {
 	qiAttrs := make([]dataset.Attribute, 0, len(qi)+1)
 	for _, a := range qi {
 		attr, err := t.Schema().ByName(a)
@@ -282,38 +268,32 @@ func buildTables(t *dataset.Table, qi []string, sensitive string, groups []Group
 		return nil, nil, err
 	}
 
-	cols := make([]int, len(qi))
-	for i, a := range qi {
-		cols[i] = t.Schema().MustIndex(a)
-	}
-	offsets := make([]int, len(groups)+1)
-	for i, g := range groups {
-		offsets[i+1] = offsets[i] + len(g.Rows)
-	}
-	width := len(qi) + 1
-	rows := make([]dataset.Row, offsets[len(groups)])
-	arena := make([]string, offsets[len(groups)]*width)
-	if _, err := parallel.Map(len(groups), workers, func(gi int) (struct{}, error) {
-		g := groups[gi]
-		id := strconv.Itoa(g.ID)
-		for j, r := range g.Rows {
-			row, err := t.Row(r)
-			if err != nil {
-				return struct{}{}, err
-			}
-			at := offsets[gi] + j
-			out := arena[at*width : (at+1)*width : (at+1)*width]
-			for ci, c := range cols {
-				out[ci] = row[c]
-			}
-			out[len(qi)] = id
-			rows[at] = dataset.Row(out)
+	order := make([]int, 0, t.Len())
+	groupCodes := make([]uint32, 0, t.Len())
+	groupIDs := make([]string, len(groups))
+	for gi, g := range groups {
+		order = append(order, g.Rows...)
+		for range g.Rows {
+			groupCodes = append(groupCodes, uint32(gi))
 		}
-		return struct{}{}, nil
-	}); err != nil {
+		groupIDs[gi] = strconv.Itoa(g.ID)
+	}
+	proj, err := t.Project(qi...)
+	if err != nil {
 		return nil, nil, err
 	}
-	qit, err := dataset.FromRows(qitSchema, rows)
+	sel, err := proj.Select(order)
+	if err != nil {
+		return nil, nil, err
+	}
+	cols := make([]*dataset.CodedColumn, len(qi)+1)
+	for j := range qi {
+		if cols[j], err = sel.CodedColumn(j); err != nil {
+			return nil, nil, err
+		}
+	}
+	cols[len(qi)] = dataset.NewCodedColumn(groupCodes, groupIDs)
+	qit, err := dataset.FromCodedColumns(qitSchema, cols)
 	if err != nil {
 		return nil, nil, err
 	}

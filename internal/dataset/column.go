@@ -18,12 +18,13 @@ import (
 //   - Row-backed tables (FromRows, ReadCSV, every mutated table) keep string
 //     rows as the source of truth and build typed columns lazily.
 //   - Column-backed tables (FromCodedColumns: snapshots, full-domain and
-//     per-group recodings, Concat, and selections and projections of
+//     per-group recodings, Concat, every projection, and selections of
 //     column-backed tables) hold one CodedColumn per attribute and build
 //     string rows only if a caller asks for rows (Row, Rows, Clone, a
 //     mutation and so on; see rowSource). Grouping, fingerprints, domains,
 //     frequencies, sensitive distributions, Select, Project and Concat read
-//     the codes directly.
+//     the codes directly. A projection shares its parent's coded columns
+//     (coding a row-backed parent's kept columns on the parent, once).
 //
 // Hot paths — equivalence-class grouping, Mondrian partitioning, query
 // evaluation, information-loss metrics — operate on cached typed columns:
@@ -42,9 +43,10 @@ import (
 // Caches are invalidated on mutation (SetValue invalidates only the touched
 // column; Append and AppendTable invalidate everything) and rebuilt on the
 // next access. Returned columns are immutable snapshots: a mutation never
-// changes a column a caller already holds, it only causes the next accessor
-// call to rebuild. Tables sharing row storage through WithSchema also share
-// the cache, so mutations through one view invalidate the other.
+// changes a column a caller or a projection already holds, it only causes
+// the next accessor call to rebuild. Tables sharing row storage through
+// WithSchema also share the cache, so mutations through one view invalidate
+// the other.
 
 // FloatColumn is a parse-once numeric view of one column. Values[i] holds the
 // parsed number of row i and is meaningful only where Valid[i] is true (cells
@@ -103,6 +105,10 @@ func (c *CodedColumn) Cardinality() int { return len(c.Dict) }
 
 // Value returns the string value for a code.
 func (c *CodedColumn) Value(code uint32) string { return c.Dict[code] }
+
+// Rank returns the position of the code's value in byte-lexicographic order
+// of the dictionary, so comparing ranks compares values.
+func (c *CodedColumn) Rank(code uint32) uint32 { return c.ranks[code] }
 
 // Code returns the dictionary code of a value and whether the value occurs in
 // the column.
@@ -427,8 +433,14 @@ func (t *Table) CodedColumn(col int) (*CodedColumn, error) {
 	c := t.colcache()
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	return t.codedLocked(c, col), nil
+}
+
+// codedLocked returns the cached coded view of column col, interning it from
+// the rows on first use. The caller holds c.mu and has checked col.
+func (t *Table) codedLocked(c *colCache, col int) *CodedColumn {
 	if cc, ok := c.codes[col]; ok {
-		return cc, nil
+		return cc
 	}
 	rows := t.data()
 	cc := &CodedColumn{
@@ -451,7 +463,7 @@ func (t *Table) CodedColumn(col int) (*CodedColumn, error) {
 		c.codes = make(map[int]*CodedColumn)
 	}
 	c.codes[col] = cc
-	return cc, nil
+	return cc
 }
 
 // buildRanks computes the byte-lexicographic rank of every code and whether

@@ -17,8 +17,11 @@
 //
 // A table is row-backed (string rows are the source of truth: FromRows, CSV
 // ingest, mutated tables) or column-backed (one immutable CodedColumn per
-// attribute is the source of truth: FromCodedColumns, snapshots, recodings),
-// and a column-backed table builds rows only when a caller asks for them.
+// attribute is the source of truth: FromCodedColumns, snapshots, recodings,
+// every Project and DropIdentifiers result), and a column-backed table
+// builds rows only when a caller asks for them. A projection shares its
+// parent's coded columns: projecting a row-backed table codes each kept
+// column once on the parent, and every later projection reuses it.
 // Either way, hot paths never re-parse or re-join row strings:
 // Table.FloatColumn returns a parse-once numeric view (values, validity,
 // extrema) and Table.CodedColumn a dictionary-encoded view (dense uint32
@@ -33,8 +36,9 @@
 // Columnar views are cached per table and invalidated on mutation (SetValue
 // invalidates one column, Append and AppendTable invalidate all) and rebuilt
 // lazily. Returned views are immutable snapshots: a mutation never changes a
-// column a caller already holds. The cache is mutex-guarded, so concurrent
-// readers — parallel Mondrian workers, concurrent HTTP requests against one
-// stored dataset — can build and share columns safely. Tables produced by
-// WithSchema share row storage and therefore share the cache.
+// column a caller already holds, or one a projection shares. The cache is
+// mutex-guarded, so concurrent readers — parallel Mondrian workers,
+// concurrent HTTP requests against one stored dataset — can build and share
+// columns safely. Tables produced by WithSchema share row storage and
+// therefore share the cache.
 package dataset

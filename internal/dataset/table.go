@@ -304,44 +304,44 @@ func (t *Table) NumericRange(name string) (min, max float64, err error) {
 }
 
 // Project returns a new table containing only the named columns, in order.
-// A column-backed table's projection is column-backed and shares its
-// columns.
+// The projection is always column-backed and shares t's coded columns: a
+// column t has not coded yet is coded once on t, under its cache lock, so
+// every later projection of t shares it too. Parse-once float views t has
+// cached for the kept columns are shared as well. Neither table ever writes
+// a shared column (a mutation of either invalidates only its own cache, and
+// the projection first materializes private rows), so the two stay
+// independent snapshots.
 func (t *Table) Project(names ...string) (*Table, error) {
 	schema, err := t.schema.Project(names...)
 	if err != nil {
 		return nil, err
 	}
-	idx := make([]int, len(names))
-	for i, n := range names {
-		idx[i] = t.schema.MustIndex(n)
-	}
-	if src := t.src; src != nil {
-		// Column-backed: the projection shares the selected columns.
-		cols := make([]*CodedColumn, len(idx))
-		for j, c := range idx {
-			cols[j] = src.cols[c]
+	cols := make([]*CodedColumn, len(names))
+	var floats map[int]*FloatColumn
+	c := t.colcache()
+	c.mu.Lock()
+	for j, n := range names {
+		col := t.schema.MustIndex(n)
+		cols[j] = t.codedLocked(c, col)
+		if fc, ok := c.floats[col]; ok {
+			if floats == nil {
+				floats = make(map[int]*FloatColumn)
+			}
+			floats[j] = fc
 		}
-		out, err := FromCodedColumns(schema, cols)
-		if err != nil {
-			return nil, err
-		}
-		return out.inheritScanWorkers(t), nil
 	}
-	rows := t.data()
-	out := NewTable(schema)
-	out.rows = make([]Row, len(rows))
-	for i, r := range rows {
-		nr := make(Row, len(idx))
-		for j, c := range idx {
-			nr[j] = r[c]
-		}
-		out.rows[i] = nr
+	c.mu.Unlock()
+	out, err := FromCodedColumns(schema, cols)
+	if err != nil {
+		return nil, err
 	}
+	out.cache.floats = floats
 	return out.inheritScanWorkers(t), nil
 }
 
-// DropIdentifiers returns a copy of the table with all direct-identifier
-// columns removed. This is always the first step of a release pipeline.
+// DropIdentifiers returns the projection of the table without its
+// direct-identifier columns (see Project: it shares t's coded columns). This
+// is always the first step of a release pipeline.
 func (t *Table) DropIdentifiers() (*Table, error) {
 	var keep []string
 	for _, a := range t.schema.Attributes() {

@@ -300,13 +300,22 @@ func (m *Manager) kickLocked(st *state) {
 }
 
 // finish settles one reconciliation outcome and re-kicks if the spec went
-// dirty mid-run or is still lagging.
+// dirty mid-run or is still lagging. The outcome is logged after m.mu is
+// released, so a slow Logf never stalls other specs' settles or Status.
 func (m *Manager) finish(name string, gen uint64, fp string, noop bool, err error) {
+	if format, args := m.settle(name, gen, fp, noop, err); format != "" {
+		m.logf(format, args...)
+	}
+}
+
+// settle records one outcome under m.mu and returns the log line finish
+// emits (an empty format when the spec was forgotten mid-run).
+func (m *Manager) settle(name string, gen uint64, fp string, noop bool, err error) (format string, args []any) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	st, ok := m.specs[name]
 	if !ok {
-		return // forgotten mid-run
+		return "", nil // forgotten mid-run
 	}
 	st.inflight = false
 	if err != nil {
@@ -314,27 +323,24 @@ func (m *Manager) finish(name string, gen uint64, fp string, noop bool, err erro
 		st.retries++
 		st.lastError = err.Error()
 		delay := m.backoff(st.retries)
-		m.logf("reconcile %s: attempt %d failed (retry in %s): %v", name, st.retries, delay, err)
-		if m.closed {
-			return
+		if !m.closed {
+			m.retried++
+			st.retryTimer = time.AfterFunc(delay, func() { m.retry(name) })
 		}
-		m.retried++
-		st.retryTimer = time.AfterFunc(delay, func() { m.retry(name) })
-		return
+		return "reconcile %s: attempt %d failed (retry in %s): %v", []any{name, st.retries, delay, err}
 	}
 	st.retries = 0
 	st.lastError = ""
 	if gen > st.reconGen {
 		st.reconGen, st.reconFP = gen, fp
 	}
+	m.kickLocked(st)
 	if noop {
 		m.noop++
-		m.logf("reconcile %s: noop (dataset generation %d byte-identical)", name, gen)
-	} else {
-		m.success++
-		m.logf("reconcile %s: reconciled to dataset generation %d", name, gen)
+		return "reconcile %s: noop (dataset generation %d byte-identical)", []any{name, gen}
 	}
-	m.kickLocked(st)
+	m.success++
+	return "reconcile %s: reconciled to dataset generation %d", []any{name, gen}
 }
 
 // retry fires when a backoff timer expires.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -253,6 +254,76 @@ func TestCloseStopsLoop(t *testing.T) {
 	if p, n := eng.counts(); p != 0 || n != 0 {
 		t.Errorf("closed manager still reconciles: %d/%d", p, n)
 	}
+}
+
+// TestBlockingLogfDoesNotStallManager holds the Logf hook inside each kind
+// of outcome line (failure, success, noop) and checks that Status and Stats
+// answer from another goroutine meanwhile, with the outcome already settled.
+func TestBlockingLogfDoesNotStallManager(t *testing.T) {
+	entered := make(chan string)
+	release := make(chan struct{})
+	eng := &fakeEngine{fail: 1, gen: 2, fp: "fp2"}
+	m := New(Config{
+		Engine: eng, BackoffBase: time.Millisecond, BackoffMax: time.Millisecond,
+		Logf: func(format string, args ...any) {
+			entered <- fmt.Sprintf(format, args...)
+			<-release
+		},
+	})
+	defer m.Close()
+	// whileBlocked waits for the next log line, checks it, runs query from
+	// another goroutine while the hook is still held, then releases the hook.
+	// A stalled query is reported, and collected once the hook is released.
+	whileBlocked := func(want string, query func() error) {
+		t.Helper()
+		line := <-entered
+		if !strings.Contains(line, want) {
+			t.Errorf("log line %q, want it to contain %q", line, want)
+		}
+		done := make(chan error, 1)
+		go func() { done <- query() }()
+		select {
+		case err := <-done:
+			release <- struct{}{}
+			if err != nil {
+				t.Error(err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Errorf("manager stalled while Logf blocked on %q", line)
+			release <- struct{}{}
+			<-done
+		}
+	}
+
+	m.Track("s", "ds", 2, "fp2", 1, "fp1")
+	whileBlocked("attempt 1 failed", func() error {
+		if _, ok := m.Status("s"); !ok {
+			return errors.New("spec s not tracked")
+		}
+		if s := m.Stats(); s.Errors != 1 {
+			return fmt.Errorf("errors = %d, want 1", s.Errors)
+		}
+		return nil
+	})
+	whileBlocked("reconciled to dataset generation 2", func() error {
+		if st, _ := m.Status("s"); st.ReconciledGeneration != 2 || st.State != "idle" {
+			return fmt.Errorf("status = %+v, want idle at generation 2", st)
+		}
+		if s := m.Stats(); s.Success != 1 {
+			return fmt.Errorf("success = %d, want 1", s.Success)
+		}
+		return nil
+	})
+	m.Notify("ds", 3, "fp2")
+	whileBlocked("noop (dataset generation 3", func() error {
+		if st, _ := m.Status("s"); st.ReconciledGeneration != 3 {
+			return fmt.Errorf("status = %+v, want generation 3", st)
+		}
+		if s := m.Stats(); s.Noop != 1 {
+			return fmt.Errorf("noop = %d, want 1", s.Noop)
+		}
+		return nil
+	})
 }
 
 // settleManager returns a test manager whose Logf hook signals every settle
